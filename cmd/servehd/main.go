@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"repro/internal/bitvec"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fleet"
@@ -378,7 +377,7 @@ func runCoordinator(addr, peers string, quorum int, antiEntropy, nodeTimeout tim
 	if len(nodes) == 0 {
 		fail(errors.New("-coordinator requires -peers (comma-separated node URLs)"))
 	}
-	co, err := cluster.New(cluster.Config{
+	co, err := fleet.NewCluster(fleet.Config{
 		Nodes:       nodes,
 		Quorum:      quorum,
 		Timeout:     nodeTimeout,

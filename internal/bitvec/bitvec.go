@@ -464,14 +464,20 @@ func shiftRightWords(dst, src []uint64, k int) {
 // Slice returns a new vector holding bits [lo, hi) of v. It runs
 // word-wise as a logical shift of the packed words by lo.
 func (v *Vector) Slice(lo, hi int) *Vector {
-	v.checkRange(lo, hi)
 	out := New(hi - lo)
-	if hi == lo {
-		return out
-	}
-	shiftRightWords(out.words, v.words, lo)
-	out.maskTail()
+	v.SliceInto(out, lo)
 	return out
+}
+
+// SliceInto overwrites dst with bits [lo, lo+dst.Len()) of v — Slice
+// into a caller-owned vector, for loops that reuse their buffers.
+func (v *Vector) SliceInto(dst *Vector, lo int) {
+	v.checkRange(lo, lo+dst.n)
+	if dst.n == 0 {
+		return
+	}
+	shiftRightWords(dst.words, v.words, lo)
+	dst.maskTail()
 }
 
 func (v *Vector) mustMatch(o *Vector) {

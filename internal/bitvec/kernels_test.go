@@ -84,6 +84,12 @@ func TestSliceMatchesBitwiseReference(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("Slice(n=%d, [%d,%d)) diverges from bit-wise reference", n, r[0], r[1])
 			}
+			// SliceInto must fully overwrite a reused, dirty buffer.
+			dst := Random(r[1]-r[0], rng)
+			v.SliceInto(dst, r[0])
+			if !dst.Equal(want) {
+				t.Fatalf("SliceInto(n=%d, [%d,%d)) over a dirty buffer diverges from bit-wise reference", n, r[0], r[1])
+			}
 		}
 	}
 }

@@ -155,7 +155,10 @@ func FleetDrill(ctx *Context) (*FleetDrillResult, error) {
 
 			// The window's anti-entropy sweep repairs the drilled
 			// replica back to the majority image.
-			rep := f.SweepNow()
+			rep, err := f.SweepNow()
+			if err != nil {
+				panic(err)
+			}
 			u.repaired[w] = float64(rep.RepairedBits)
 		}
 		st := f.Status()

@@ -77,6 +77,14 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{AntiEntropy: AntiEntropyConfig{QuarantineDivergence: 1.5}},
 		{AntiEntropy: AntiEntropyConfig{MinReseedAgreement: math.NaN()}},
 		{AntiEntropy: AntiEntropyConfig{MinReseedAgreement: -0.5}},
+		// Settings the transport would silently ignore.
+		{Timeout: time.Second},
+		{Retries: 1},
+		{RejoinProbes: 4},
+		{Nodes: []string{"http://a"}, Replicas: 1},
+		{Nodes: []string{"http://a"}, Seed: 7},
+		{Nodes: []string{"http://a"}, ScrubTick: time.Second},
+		{Nodes: []string{"http://a"}, Substrate: &substrate.Config{Kind: "endurance"}},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -85,6 +93,10 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+	_, sys := problem(t)
+	if _, err := New(sys, Config{Nodes: []string{"http://a"}}); err == nil {
+		t.Error("New accepted Nodes, which only NewCluster reads")
 	}
 }
 
@@ -201,7 +213,7 @@ func TestSweepRepairsMinorityChunksAndBillsWrites(t *testing.T) {
 	r1, _ := f.replica(1)
 	before := replicaWrites(r1)
 
-	rep := f.SweepNow()
+	rep := sweep(t, f)
 	if rep.RepairedChunks == 0 || rep.DivergentBits == 0 {
 		t.Fatalf("sweep repaired nothing: %+v", rep)
 	}
@@ -211,7 +223,7 @@ func TestSweepRepairsMinorityChunksAndBillsWrites(t *testing.T) {
 
 	// After repair the replicas must be bit-identical again: the next
 	// sweep finds zero divergence and re-arms the fast path.
-	rep2 := f.SweepNow()
+	rep2 := sweep(t, f)
 	if rep2.DivergentBits != 0 || !rep2.Healthy {
 		t.Fatalf("fleet did not converge: %+v", rep2)
 	}
@@ -239,7 +251,17 @@ func TestSweepRepairsMinorityChunksAndBillsWrites(t *testing.T) {
 	}
 }
 
-func replicaWrites(r *replica) int64 {
+// sweep runs one anti-entropy sweep; in-process sweeps cannot fail.
+func sweep(t testing.TB, f *Fleet) SweepReport {
+	t.Helper()
+	rep, err := f.SweepNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+func replicaWrites(r *localReplica) int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.sub == nil {
@@ -273,7 +295,7 @@ func TestQuarantineReseedsFromDonor(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep := f.SweepNow()
+	rep := sweep(t, f)
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != 2 {
 		t.Fatalf("expected replica 2 quarantined, got %+v", rep)
 	}
@@ -281,7 +303,7 @@ func TestQuarantineReseedsFromDonor(t *testing.T) {
 		t.Fatalf("expected replica 2 reseeded, got %+v", rep)
 	}
 	r2, _ := f.replica(2)
-	if !r2.active() {
+	if st := f.Status().Replicas[2].State; st != "active" {
 		t.Fatal("reseeded replica not back in rotation")
 	}
 	for c := 0; c < sys.Classes(); c++ {
@@ -315,6 +337,39 @@ func TestQuarantineReseedsFromDonor(t *testing.T) {
 		if kinds[i] != k {
 			t.Fatalf("journal kinds for replica 2 = %v, want prefix %v", kinds, want)
 		}
+	}
+}
+
+// TestStrandedQuarantineIsRetried pins the retry of a replica whose
+// reseed was refused: with no donor clearing MinReseedAgreement the
+// quarantined replica must not stay out forever — once the survivors
+// converge, a later sweep re-seeds it and the fast path re-arms.
+func TestStrandedQuarantineIsRetried(t *testing.T) {
+	_, sys := problem(t)
+	f := newFleet(t, sys, Config{
+		Replicas:        3,
+		Seed:            11,
+		DisableRecovery: true,
+		AntiEntropy:     AntiEntropyConfig{MinReseedAgreement: 0.9999},
+	})
+	for id, rate := range []float64{0.002, 0.002, 0.30} {
+		if err := f.WithReplica(id, func(s *core.System) error {
+			_, err := s.AttackRandom(rate, uint64(id)+5)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := sweep(t, f)
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != 2 || len(rep.Reseeded) != 0 {
+		t.Fatalf("first sweep %+v, want replica 2 quarantined with its reseed refused", rep)
+	}
+	for i := 0; i < 3 && !f.Healthy(); i++ {
+		sweep(t, f)
+	}
+	if st := f.Status(); st.Replicas[2].State != "active" || !st.Healthy {
+		t.Fatalf("after 4 sweeps replica 2 is %q (divergence %.4f), healthy %v; want active and re-armed",
+			st.Replicas[2].State, st.Replicas[2].Divergence, st.Healthy)
 	}
 }
 

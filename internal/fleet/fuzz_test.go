@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/core"
 )
 
-// FuzzChunkRepair fuzzes the majority-vote chunk-repair kernel the
-// anti-entropy sweep is built on: given 3 or 5 replica images with an
-// adversarially chosen minority corruption, repairing every replica
-// toward the bitwise majority must (a) converge all replicas to one
-// identical image, (b) equal the healthy image whenever the corrupted
-// copies are a strict minority, and (c) never diverge from the per-bit
-// reference vote, ties included.
+// FuzzChunkRepair drives the shipping anti-entropy sweep (SweepNow
+// over in-process replicas) on fuzz-chosen class images: 3 or 5
+// replicas, the first few corrupted with different rotations of an
+// adversarial pattern, written through WithReplica. One sweep must
+// (a) converge all replicas to one identical image, (b) equal the
+// healthy image whenever the corrupted copies are a strict minority,
+// and (c) equal the per-bit reference majority of the pre-sweep images.
+// Quarantine is disabled so every divergence goes through chunk repair.
 func FuzzChunkRepair(f *testing.F) {
 	f.Add(uint8(3), uint8(1), []byte("healthy-model-bits"), []byte{0xFF, 0x00, 0xAA}, uint8(4))
 	f.Add(uint8(5), uint8(2), []byte("some longer healthy image payload......"), []byte{0x55}, uint8(8))
@@ -29,87 +31,77 @@ func FuzzChunkRepair(f *testing.F) {
 		if len(image) == 0 || len(corruption) == 0 {
 			t.Skip()
 		}
-		dims := len(image) * 8
-		if dims > 4096 {
-			dims = 4096
+		_, sys := problem(t)
+		classes, dims := sys.Classes(), sys.Dimensions()
+		flt, err := New(sys, Config{
+			Replicas:        n,
+			DisableRecovery: true,
+			AntiEntropy:     AntiEntropyConfig{Chunks: int(chunks)%64 + 1, QuarantineDivergence: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		healthy := bitvec.New(dims)
-		for i := 0; i < dims; i++ {
-			if image[i/8]&(1<<(i%8)) != 0 {
-				healthy.Set(i, true)
-			}
-		}
+		defer flt.Close()
 
-		// Corrupt the first nCorrupt replicas, each with a different
-		// rotation of the adversarial pattern so the minorities do not
-		// all agree with each other.
+		// Class c's healthy image tiles the fuzz image from byte c; the
+		// first k replicas flip it where their rotation of the pattern
+		// is set, so the minorities do not all agree with each other.
 		k := int(nCorrupt) % (n + 1)
-		vs := make([]*bitvec.Vector, n)
-		for i := range vs {
-			vs[i] = healthy.Clone()
-			if i < k {
-				for b := 0; b < dims; b++ {
-					cb := corruption[((b+i*7)/8)%len(corruption)]
-					if cb&(1<<((b+i)%8)) != 0 {
-						vs[i].Flip(b)
+		healthy := func(c, b int) bool { return image[(b/8+c)%len(image)]&(1<<(b%8)) != 0 }
+		flipped := func(i, b int) bool {
+			return i < k && corruption[((b+i*7)/8)%len(corruption)]&(1<<((b+i)%8)) != 0
+		}
+		for i := 0; i < n; i++ {
+			if err := flt.WithReplica(i, func(s *core.System) error {
+				for c := 0; c < classes; c++ {
+					v := bitvec.New(dims)
+					for b := 0; b < dims; b++ {
+						v.Set(b, healthy(c, b) != flipped(i, b))
 					}
+					s.Model().SetClassVector(c, v)
 				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
 
-		// The sweep's repair: overwrite every chunk of every replica
-		// with the majority chunk.
-		maj := bitvec.Majority(vs)
-		nChunks := int(chunks)%64 + 1
-		if nChunks > dims {
-			nChunks = dims
+		if _, err := flt.SweepNow(); err != nil {
+			t.Fatal(err)
 		}
-		for _, v := range vs {
-			for c := 0; c < nChunks; c++ {
-				lo, hi := c*dims/nChunks, (c+1)*dims/nChunks
-				if lo == hi {
-					continue
-				}
-				if v.HammingRange(maj, lo, hi) > 0 {
-					v.OverwriteRange(maj, lo, hi)
-				}
+		images := make([][]*bitvec.Vector, n)
+		for i := range images {
+			if err := flt.WithReplica(i, func(s *core.System) error {
+				images[i] = s.Snapshot()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
-
-		// (a) Converged: all replicas identical.
-		for i := 1; i < n; i++ {
-			if !vs[i].Equal(vs[0]) {
-				t.Fatalf("replicas %d and 0 differ after repair", i)
+		for c := 0; c < classes; c++ {
+			// (a) Converged: all replicas identical.
+			for i := 1; i < n; i++ {
+				if !images[i][c].Equal(images[0][c]) {
+					t.Fatalf("class %d: replicas %d and 0 differ after repair", c, i)
+				}
 			}
-		}
-		// (b) Strict minority corrupted -> majority is the healthy image.
-		if 2*k < n && !vs[0].Equal(healthy) {
-			t.Fatalf("minority corruption (%d of %d) leaked into the repaired image", k, n)
-		}
-		// (c) The repaired image is the per-bit reference majority of
-		// the pre-repair states (ties to vs[0], which repair preserves
-		// because odd n never ties).
-		ref := bitvec.New(dims)
-		for b := 0; b < dims; b++ {
-			ones := 0
-			for i := 0; i < n; i++ {
-				// Reconstruct pre-repair bit: corrupted replicas flipped
-				// healthy at pattern positions.
-				bit := healthy.Get(b)
-				if i < k {
-					cb := corruption[((b+i*7)/8)%len(corruption)]
-					if cb&(1<<((b+i)%8)) != 0 {
-						bit = !bit
+			for b := 0; b < dims; b++ {
+				ones := 0
+				for i := 0; i < n; i++ {
+					if healthy(c, b) != flipped(i, b) {
+						ones++
 					}
 				}
-				if bit {
-					ones++
+				got := images[0][c].Get(b)
+				// (b) Strict minority corrupted -> the healthy image.
+				if 2*k < n && got != healthy(c, b) {
+					t.Fatalf("minority corruption (%d of %d) leaked into class %d bit %d", k, n, c, b)
+				}
+				// (c) The per-bit reference majority (odd n never ties).
+				if got != (2*ones > n) {
+					t.Fatalf("class %d bit %d: repaired %v, reference majority %v", c, b, got, 2*ones > n)
 				}
 			}
-			ref.Set(b, 2*ones > n)
-		}
-		if !vs[0].Equal(ref) {
-			t.Fatal("repaired image differs from per-bit reference majority")
 		}
 	})
 }

@@ -1,28 +1,19 @@
 package fleet
 
-// Shared quorum and divergence primitives. The in-process fleet
-// (fleet.go) and the networked cluster coordinator (internal/cluster)
-// implement the same replication algebra — rotating read-quorum with
-// escalation to a full majority vote, and chunked divergence
-// measurement against a cross-replica majority image. The cluster's
-// acceptance criterion is bit-identity with the in-process fleet under
-// the same event sequence, so the decision logic lives here exactly
-// once and both dispatchers call it.
+// Quorum vote merging for Coordinator.ScoreBatch.
 
-// ResolveVotes merges quorum members' per-query answers into final
+// resolveVotes merges quorum members' per-query answers into final
 // classes and confidences. votes[m][i] / confs[m][i] are member m's
-// class and confidence for query i; all members answer every query.
+// class and confidence for query i; there is at least one member, and
+// all members answer every query.
 //
 // A query every member agrees on is answered directly, with the
 // highest confidence any member reported. The first disagreement
 // invokes full() — lazily, at most once — to obtain the complete
 // active voter set, and every disagreeing query is settled by
-// MajorityVote over it. The returned bool reports whether escalation
+// majorityVote over it. The returned bool reports whether escalation
 // happened.
-func ResolveVotes(votes [][]int, confs [][]float64, full func() ([][]int, [][]float64, error)) ([]int, []float64, bool, error) {
-	if len(votes) == 0 {
-		return nil, nil, false, ErrNoReplicas
-	}
+func resolveVotes(votes [][]int, confs [][]float64, full func() ([][]int, [][]float64)) ([]int, []float64, bool) {
 	n := len(votes[0])
 	classes := make([]int, n)
 	out := make([]float64, n)
@@ -39,25 +30,21 @@ func ResolveVotes(votes [][]int, confs [][]float64, full func() ([][]int, [][]fl
 		}
 		if agreed {
 			classes[i] = votes[0][i]
-			out[i] = MaxConfAt(confs, i)
+			out[i] = maxConfAt(confs, i)
 			continue
 		}
 		if fullVotes == nil {
 			escalated = true
-			var err error
-			fullVotes, fullConfs, err = full()
-			if err != nil {
-				return nil, nil, true, err
-			}
+			fullVotes, fullConfs = full()
 		}
-		classes[i], out[i] = MajorityVote(fullVotes, fullConfs, i)
+		classes[i], out[i] = majorityVote(fullVotes, fullConfs, i)
 	}
-	return classes, out, escalated, nil
+	return classes, out, escalated
 }
 
-// MaxConfAt returns the highest confidence any voter reported for
+// maxConfAt returns the highest confidence any voter reported for
 // query i.
-func MaxConfAt(confs [][]float64, i int) float64 {
+func maxConfAt(confs [][]float64, i int) float64 {
 	best := 0.0
 	for _, c := range confs {
 		if c[i] > best {
@@ -67,11 +54,11 @@ func MaxConfAt(confs [][]float64, i int) float64 {
 	return best
 }
 
-// MajorityVote tallies the voters' classes for query i. The winner is
+// majorityVote tallies the voters' classes for query i. The winner is
 // the class with the most votes; ties break toward the higher summed
 // confidence, then the lower class id (fully deterministic). The
 // returned confidence is the highest any voter gave the winner.
-func MajorityVote(votes [][]int, confs [][]float64, i int) (int, float64) {
+func majorityVote(votes [][]int, confs [][]float64, i int) (int, float64) {
 	count := map[int]int{}
 	confSum := map[int]float64{}
 	confMax := map[int]float64{}
@@ -93,13 +80,4 @@ func MajorityVote(votes [][]int, confs [][]float64, i int) (int, float64) {
 		}
 	}
 	return best, confMax[best]
-}
-
-// ChunkBounds returns the bit range [lo, hi) of chunk k when dims bits
-// are split into `chunks` near-equal pieces. Every divergence
-// measurement — in-process sweep, node summary hashing, coordinator
-// repair — must partition identically, or "the same chunk" would mean
-// different bits on each side of the wire.
-func ChunkBounds(dims, chunks, k int) (lo, hi int) {
-	return k * dims / chunks, (k + 1) * dims / chunks
 }

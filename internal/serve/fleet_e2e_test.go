@@ -112,7 +112,11 @@ func TestFleetE2E(t *testing.T) {
 	// re-arms the fast path).
 	converged := false
 	for i := 0; i < 10; i++ {
-		if rep := flt.SweepNow(); rep.DivergentBits == 0 {
+		rep, err := flt.SweepNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DivergentBits == 0 {
 			converged = true
 			break
 		}

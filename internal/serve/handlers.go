@@ -9,7 +9,6 @@ import (
 	"net/http"
 
 	"repro/internal/attack"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 )
@@ -42,9 +41,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /attack", s.handleAttack)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /fleet", s.handleFleet)
-	mux.HandleFunc("GET /journal/proof", s.handleJournalProof)
-	mux.HandleFunc("GET /journal/verify", s.handleJournalVerify)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	fleet.MountJournal(mux, s.cfg.Journal)
 	if s.cfg.NodeAPI {
 		s.registerNodeAPI(mux)
 	}
@@ -425,36 +423,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		Quorum:   flt.Quorum(),
 		Status:   &st,
 	})
-}
-
-// handleJournalProof serves a Merkle inclusion proof for one sealed
-// journal seq (GET /journal/proof?seq=N). The proof verifies against
-// the sealed root carried by the seal event at proof.seal_seq — and
-// against the anchor inside any snapshot taken after that seal.
-func (s *Server) handleJournalProof(w http.ResponseWriter, r *http.Request) {
-	j := s.cfg.Journal
-	if j == nil {
-		writeErr(w, fmt.Errorf("%w: no journal configured", ErrBadInput))
-		return
-	}
-	seq, err := queryInt(r, "seq", 0)
-	if err != nil || seq <= 0 {
-		writeErr(w, fmt.Errorf("%w: provide seq=N (a sealed journal sequence number)", ErrBadInput))
-		return
-	}
-	p, perr := j.Proof(int64(seq))
-	if perr != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": perr.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
-// handleJournalVerify re-verifies the journal's backing file against
-// the live chain (GET /journal/verify) — the endpoint the coordinator
-// uses as its donor-trust gate.
-func (s *Server) handleJournalVerify(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, cluster.VerifyJournalDoc(s.cfg.Journal))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 )
@@ -66,7 +65,7 @@ func TestJournalEndpointsServeProofAndVerify(t *testing.T) {
 	_, ts, j, _ := journaledServer(t)
 	sealSome(t, j, 9)
 
-	var jv cluster.JournalVerifyResponse
+	var jv fleet.JournalVerifyResponse
 	if resp := getJSON(t, ts.URL+"/journal/verify", &jv); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/journal/verify status %d", resp.StatusCode)
 	}
@@ -99,7 +98,7 @@ func TestJournalEndpointsServeProofAndVerify(t *testing.T) {
 
 func TestJournalEndpointsWithoutJournal(t *testing.T) {
 	_, ts, _ := freshServer(t, Config{DisableRecovery: true})
-	var jv cluster.JournalVerifyResponse
+	var jv fleet.JournalVerifyResponse
 	if resp := getJSON(t, ts.URL+"/journal/verify", &jv); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/journal/verify status %d", resp.StatusCode)
 	}
@@ -203,7 +202,7 @@ func TestJournalVerifyDetectsOutOfBandTamper(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var jv cluster.JournalVerifyResponse
+	var jv fleet.JournalVerifyResponse
 	getJSON(t, ts.URL+"/journal/verify", &jv)
 	if !jv.Enabled || jv.OK {
 		t.Fatalf("verify after tamper = %+v, want enabled and not ok", jv)

@@ -7,13 +7,12 @@ import (
 	"strconv"
 
 	"repro/internal/bitvec"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
 // Node API: the server-side half of the networked replica fleet
-// (internal/cluster). A servehd process started with -node is one
+// (fleet.Cluster). A servehd process started with -node is one
 // replica — its own substrate, recoverer, scrubber, and journal — and
 // these handlers are the narrow surface the cluster coordinator drives
 // it through:
@@ -50,7 +49,7 @@ func (s *Server) registerNodeAPI(mux *http.ServeMux) {
 // node that loaded the same snapshot encodes bit-identically, and the
 // wire stays narrow.
 func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
-	var req cluster.ScoreRequest
+	var req fleet.ScoreRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, err)
 		return
@@ -77,7 +76,7 @@ func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	encoded := sys.EncodeAllParallel(req.Xs, s.cfg.EncodeWorkers)
-	resp := cluster.ScoreResponse{
+	resp := fleet.ScoreResponse{
 		Classes: make([]int, len(encoded)),
 		Confs:   make([]float64, len(encoded)),
 	}
@@ -111,23 +110,8 @@ func (s *Server) handleNodeSummary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: chunks %d out of [1,%d]", ErrBadInput, chunks, dims))
 		return
 	}
-	sum := cluster.Summary{
-		Classes: sys.Classes(),
-		Dims:    dims,
-		Chunks:  chunks,
-		Hashes:  make([][]string, sys.Classes()),
-	}
 	ep := st.chain.Acquire()
-	img := ep.Frozen()
-	for c := range sum.Hashes {
-		row := make([]string, chunks)
-		cv := img.ClassVector(c)
-		for k := range row {
-			lo, hi := fleet.ChunkBounds(dims, chunks, k)
-			row[k] = cluster.HashString(cluster.ChunkHash(cv, lo, hi))
-		}
-		sum.Hashes[c] = row
-	}
+	sum := fleet.SummaryOf(ep.Frozen(), chunks)
 	ep.Release()
 	writeJSON(w, http.StatusOK, sum)
 }
@@ -135,7 +119,7 @@ func (s *Server) handleNodeSummary(w http.ResponseWriter, r *http.Request) {
 // handleNodeChunks returns the bits of the named chunks so the
 // coordinator can majority-vote only where summaries disagree.
 func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
-	var req cluster.ChunksRequest
+	var req fleet.ChunksRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, err)
 		return
@@ -156,7 +140,7 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := cluster.ChunksResponse{Chunks: make([]cluster.ChunkData, len(req.Chunks))}
+	resp := fleet.ChunksResponse{Chunks: make([]fleet.ChunkData, len(req.Chunks))}
 	ep := st.chain.Acquire()
 	img := ep.Frozen()
 	for i, ref := range req.Chunks {
@@ -166,7 +150,7 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		resp.Chunks[i] = cluster.ChunkData{Class: ref.Class, Lo: ref.Lo, Hi: ref.Hi, Bits: bits}
+		resp.Chunks[i] = fleet.ChunkData{Class: ref.Class, Lo: ref.Lo, Hi: ref.Hi, Bits: bits}
 	}
 	ep.Release()
 	writeJSON(w, http.StatusOK, resp)
@@ -177,7 +161,7 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 // hi-lo writes — the same wear anti-entropy charges in process — and
 // journaled per chunk with the bits that actually changed.
 func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
-	var req cluster.RepairRequest
+	var req fleet.RepairRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, err)
 		return
@@ -192,6 +176,7 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: no chunks pushed", ErrBadInput))
 		return
 	}
+	refs := make([]fleet.ChunkRef, len(req.Chunks))
 	patches := make([]*bitvec.Vector, len(req.Chunks))
 	for i, cd := range req.Chunks {
 		if err := s.checkChunkRef(sys, cd.Class, cd.Lo, cd.Hi); err != nil {
@@ -207,38 +192,22 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, fmt.Errorf("%w: chunk %d carries %d bits for range [%d,%d)", ErrBadInput, i, v.Len(), cd.Lo, cd.Hi))
 			return
 		}
-		patches[i] = v
+		refs[i], patches[i] = fleet.ChunkRef{Class: cd.Class, Lo: cd.Lo, Hi: cd.Hi}, v
 	}
-	changed := make([]int, len(req.Chunks))
-	seen := make(map[int]bool, len(req.Chunks))
-	var dirty []int
-	for _, cd := range req.Chunks {
-		if !seen[cd.Class] {
-			seen[cd.Class] = true
-			dirty = append(dirty, cd.Class)
-		}
-	}
+	changed := make([]int, len(refs))
+	out := fleet.RepairResponse{Applied: len(refs), Bits: fleet.BitsIn(refs)}
 	s.mu.Lock()
 	m := sys.Model()
-	wrote := 0
-	for i, cd := range req.Chunks {
-		cv := m.ClassVector(cd.Class)
-		changed[i] = cv.Slice(cd.Lo, cd.Hi).Hamming(patches[i])
-		cv.OverwriteSlice(patches[i], cd.Lo)
-		wrote += cd.Hi - cd.Lo
+	for i, ref := range refs {
+		changed[i] = m.ClassVector(ref.Class).Slice(ref.Lo, ref.Hi).Hamming(patches[i])
 	}
-	if st.sub != nil && wrote > 0 {
-		st.sub.NoteWrites(wrote)
-		st.publishSubStats()
-	}
-	st.chain.Publish(m, dirty)
+	fleet.RepairChunks(m, refs, patches, st.sub, st.chain)
+	st.publishSubStats()
 	s.mu.Unlock()
-	out := cluster.RepairResponse{Applied: len(req.Chunks)}
-	for i, cd := range req.Chunks {
-		out.Bits += cd.Hi - cd.Lo
+	for i, ref := range refs {
 		s.journalAppend(fleet.Event{Kind: fleet.EventRepair, Replica: -1,
-			Class: cd.Class, Chunk: -1, Bits: changed[i],
-			Detail: fmt.Sprintf("pushed [%d,%d)", cd.Lo, cd.Hi)})
+			Class: ref.Class, Chunk: -1, Bits: changed[i],
+			Detail: fmt.Sprintf("pushed [%d,%d)", ref.Lo, ref.Hi)})
 	}
 	s.metrics.nodeRepairs.Add(int64(len(req.Chunks)))
 	s.metrics.nodeRepairBits.Add(int64(out.Bits))
@@ -291,17 +260,10 @@ func (s *Server) handleNodeReseed(w http.ResponseWriter, r *http.Request) {
 			sys.Classes(), sys.Dimensions(), sys.Features()))
 		return
 	}
-	snap := donor.Snapshot()
 	bits := sys.Classes() * sys.Dimensions()
 	s.mu.Lock()
-	sys.Restore(snap)
-	if st.sub != nil {
-		st.sub.NoteWrites(bits)
-		st.sub.Refresh()
-		st.publishSubStats()
-	}
-	// Every class was re-imaged: full publish.
-	st.chain.Publish(sys.Model(), nil)
+	fleet.Reimage(sys, donor, st.sub, st.chain)
+	st.publishSubStats()
 	s.mu.Unlock()
 	s.metrics.nodeReseeds.Add(1)
 	detail := "unstamped donor image"

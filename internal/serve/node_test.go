@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 )
@@ -28,11 +27,11 @@ func TestNodeScoreMatchesDirectModel(t *testing.T) {
 	xs := ds.TestX[:8]
 	const temp = 0.05
 
-	resp, body := postJSON(t, url+"/node/score", cluster.ScoreRequest{Xs: xs, Temperature: temp})
+	resp, body := postJSON(t, url+"/node/score", fleet.ScoreRequest{Xs: xs, Temperature: temp})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score: status %d: %s", resp.StatusCode, body)
 	}
-	var out cluster.ScoreResponse
+	var out fleet.ScoreResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +68,18 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 		name, path string
 		body       any
 	}{
-		{"score empty batch", "/node/score", cluster.ScoreRequest{Temperature: 0.1}},
-		{"score negative temperature", "/node/score", cluster.ScoreRequest{Xs: [][]float64{{1}}, Temperature: -1}},
-		{"score feature mismatch", "/node/score", cluster.ScoreRequest{Xs: [][]float64{{1, 2, 3}}, Temperature: 0.1}},
-		{"chunks empty", "/node/chunks", cluster.ChunksRequest{}},
-		{"chunks class out of range", "/node/chunks", cluster.ChunksRequest{Chunks: []cluster.ChunkRef{{Class: 99, Lo: 0, Hi: 64}}}},
-		{"chunks negative class", "/node/chunks", cluster.ChunksRequest{Chunks: []cluster.ChunkRef{{Class: -1, Lo: 0, Hi: 64}}}},
-		{"chunks inverted range", "/node/chunks", cluster.ChunksRequest{Chunks: []cluster.ChunkRef{{Class: 0, Lo: 64, Hi: 64}}}},
-		{"chunks range past dims", "/node/chunks", cluster.ChunksRequest{Chunks: []cluster.ChunkRef{{Class: 0, Lo: 0, Hi: dims + 1}}}},
-		{"repair empty", "/node/repair", cluster.RepairRequest{}},
-		{"repair garbage bits", "/node/repair", cluster.RepairRequest{Chunks: []cluster.ChunkData{{Class: 0, Lo: 0, Hi: 64, Bits: []byte("nope")}}}},
-		{"repair wrong-length bits", "/node/repair", cluster.RepairRequest{Chunks: []cluster.ChunkData{{Class: 0, Lo: 0, Hi: 64, Bits: shortBits}}}},
-		{"repair bad range", "/node/repair", cluster.RepairRequest{Chunks: []cluster.ChunkData{{Class: 0, Lo: -1, Hi: 64, Bits: shortBits}}}},
+		{"score empty batch", "/node/score", fleet.ScoreRequest{Temperature: 0.1}},
+		{"score negative temperature", "/node/score", fleet.ScoreRequest{Xs: [][]float64{{1}}, Temperature: -1}},
+		{"score feature mismatch", "/node/score", fleet.ScoreRequest{Xs: [][]float64{{1, 2, 3}}, Temperature: 0.1}},
+		{"chunks empty", "/node/chunks", fleet.ChunksRequest{}},
+		{"chunks class out of range", "/node/chunks", fleet.ChunksRequest{Chunks: []fleet.ChunkRef{{Class: 99, Lo: 0, Hi: 64}}}},
+		{"chunks negative class", "/node/chunks", fleet.ChunksRequest{Chunks: []fleet.ChunkRef{{Class: -1, Lo: 0, Hi: 64}}}},
+		{"chunks inverted range", "/node/chunks", fleet.ChunksRequest{Chunks: []fleet.ChunkRef{{Class: 0, Lo: 64, Hi: 64}}}},
+		{"chunks range past dims", "/node/chunks", fleet.ChunksRequest{Chunks: []fleet.ChunkRef{{Class: 0, Lo: 0, Hi: dims + 1}}}},
+		{"repair empty", "/node/repair", fleet.RepairRequest{}},
+		{"repair garbage bits", "/node/repair", fleet.RepairRequest{Chunks: []fleet.ChunkData{{Class: 0, Lo: 0, Hi: 64, Bits: []byte("nope")}}}},
+		{"repair wrong-length bits", "/node/repair", fleet.RepairRequest{Chunks: []fleet.ChunkData{{Class: 0, Lo: 0, Hi: 64, Bits: shortBits}}}},
+		{"repair bad range", "/node/repair", fleet.RepairRequest{Chunks: []fleet.ChunkData{{Class: 0, Lo: -1, Hi: 64, Bits: shortBits}}}},
 	}
 	for _, tc := range jsonCases {
 		resp, body := postJSON(t, url+tc.path, tc.body)
@@ -138,7 +137,7 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 	}
 
 	// After all that abuse the model must be untouched and still serving.
-	resp, body := postJSON(t, url+"/node/score", cluster.ScoreRequest{Xs: ds.TestX[:1], Temperature: 0.05})
+	resp, body := postJSON(t, url+"/node/score", fleet.ScoreRequest{Xs: ds.TestX[:1], Temperature: 0.05})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score after rejections: status %d: %s", resp.StatusCode, body)
 	}

@@ -148,7 +148,7 @@ type Config struct {
 
 	// NodeAPI mounts the /node/* cluster-node endpoints: raw local
 	// scoring, chunk-hash summaries, chunk fetch/repair, and snapshot/
-	// reseed streaming for a networked coordinator (internal/cluster).
+	// reseed streaming for a networked coordinator (fleet.Cluster).
 	// Mutually exclusive with Fleet — a node IS one replica; stacking a
 	// local fleet under a networked one would double-replicate.
 	NodeAPI bool
